@@ -7,7 +7,11 @@ the cache size rather than by the dataset size.  These benchmarks measure the
 same quantities, plus the raw Reed-Solomon throughput of the coding substrate.
 """
 
+import statistics
+import time
+
 import numpy as np
+import pytest
 
 from conftest import emit
 
@@ -35,8 +39,9 @@ def test_bench_request_processing(benchmark, settings):
     assert result.request_processing_ms < 2.0
 
 
-def test_bench_reconfiguration(benchmark, settings):
-    """§VI: one full run of the cache-configuration algorithm (10 MB cache)."""
+def _agar_node_after_one_period(settings):
+    """A frankfurt AgarNode (300 x 1 MB objects, 10 MB cache = 89 chunk slots)
+    and the Zipf 1.1 popularity of one closed period."""
     from repro.backend import ErasureCodedStore
     from repro.core.agar_node import AgarNode
     from repro.geo import default_topology
@@ -47,11 +52,45 @@ def test_bench_reconfiguration(benchmark, settings):
     node = AgarNode("frankfurt", store, cache_capacity_bytes=10 * 1024 * 1024)
     for request in generate_requests(settings.workload(1.1), seed=settings.seed):
         node.request_monitor.record_request(request.key)
-    popularity = node.request_monitor.end_period()
+    return node, node.request_monitor.end_period()
 
-    benchmark.pedantic(node.cache_manager.reconfigure, args=(popularity,), rounds=5, iterations=1)
+
+def test_bench_reconfiguration(benchmark, settings):
+    """§VI: one full run of the cache-configuration algorithm (10 MB cache, 89 slots)."""
+    node, popularity = _agar_node_after_one_period(settings)
+    manager = node.cache_manager
+    assert manager.capacity_chunks == 89
+    # The warm-up round builds the per-key option templates, as the first
+    # period of a run does; the timed rounds are steady-state periods.
+    benchmark.pedantic(manager.reconfigure, args=(popularity,),
+                       rounds=20, warmup_rounds=1, iterations=1)
+
+    # The split of one reconfiguration: option generation vs. the solve.
+    options_s, solve_s = [], []
+    for _ in range(20):
+        start = time.perf_counter()
+        options = manager.generate_options(popularity)
+        middle = time.perf_counter()
+        KnapsackSolver(capacity_weight=manager.capacity_chunks).solve(options)
+        options_s.append(middle - start)
+        solve_s.append(time.perf_counter() - middle)
+    benchmark.extra_info["options_ms"] = round(statistics.median(options_s) * 1000, 3)
+    benchmark.extra_info["solve_ms"] = round(statistics.median(solve_s) * 1000, 3)
     emit("§VI cache-manager run time",
-         f"candidate objects: {len(popularity)}; capacity: {node.cache_manager.capacity_chunks} chunks")
+         f"candidate objects: {len(popularity)}; capacity: {manager.capacity_chunks} chunks; "
+         f"options {benchmark.extra_info['options_ms']} ms, "
+         f"solve {benchmark.extra_info['solve_ms']} ms (medians)")
+
+
+@pytest.mark.parametrize("slots", (89, 287, 574))
+def test_bench_solver_slots(benchmark, settings, slots):
+    """KnapsackSolver.solve on one AgarNode period's options at growing capacity."""
+    node, popularity = _agar_node_after_one_period(settings)
+    options = node.cache_manager.generate_options(popularity)
+    solver = KnapsackSolver(capacity_weight=slots)
+    result = benchmark.pedantic(solver.solve, args=(options,), rounds=5, warmup_rounds=1,
+                                iterations=1)
+    assert result.best.weight <= slots
 
 
 def test_bench_reconfiguration_scaling(benchmark, settings):

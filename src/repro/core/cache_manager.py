@@ -25,8 +25,9 @@ from repro.core.knapsack import (
     SolverResult,
     configuration_summary,
 )
-from repro.core.options import CachingOption, generate_caching_options
+from repro.core.options import CachingOption, generate_caching_options, with_popularity
 from repro.core.region_manager import RegionManager
+from repro.erasure.chunk import ObjectMetadata
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,10 @@ class CacheManager:
         self._config = config or CacheManagerConfig()
         self._current = EMPTY_CONFIGURATION
         self._history: list[ReconfigurationRecord] = []
+        # key -> (metadata instance, options built for it) under
+        # _template_view; only their popularity is stale.
+        self._templates: dict[str, tuple[ObjectMetadata, tuple[CachingOption, ...]]] = {}
+        self._template_view: tuple | None = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -113,10 +118,24 @@ class CacheManager:
     # Option generation and solving
     # ------------------------------------------------------------------ #
     def generate_options(self, popularity: Mapping[str, float]) -> dict[str, list[CachingOption]]:
-        """Generate caching options for the candidate objects (§IV-A)."""
+        """Generate caching options for the candidate objects (§IV-A).
+
+        Everything an option holds except the popularity follows from the
+        object's placement and the Region Manager's estimates, so each key's
+        options are kept as a template (chunk indices, weights, improvements
+        and residuals) that :func:`~repro.core.options.with_popularity`
+        re-prices.  A key's template is rebuilt when its
+        :class:`~repro.erasure.chunk.ObjectMetadata` instance changes (a PUT);
+        all templates are dropped when the estimate view changes (a refresh,
+        a down region, a recovery).
+        """
         estimates = self._region_manager.latency_estimates()
         cache_read_ms = self._region_manager.cache_read_estimate()
         params = self._region_manager.params
+        view = (tuple(estimates.items()), cache_read_ms, params.data_chunks, params.parity_chunks)
+        if view != self._template_view:
+            self._templates.clear()
+            self._template_view = view
 
         candidates = [
             (key, pop) for key, pop in popularity.items() if pop > self._config.min_popularity
@@ -126,33 +145,44 @@ class CacheManager:
             candidates = candidates[: self._config.max_candidate_keys]
 
         options_by_key: dict[str, list[CachingOption]] = {}
+        templates = self._templates
         for key, pop in candidates:
             try:
-                chunks_by_region = self._region_manager.chunks_by_region(key)
+                metadata = self._region_manager.object_metadata(key)
             except KeyError:
+                templates.pop(key, None)
                 continue
-            options = generate_caching_options(
-                key=key,
-                chunks_by_region=chunks_by_region,
-                region_latencies=estimates,
-                popularity=pop,
-                data_chunks=params.data_chunks,
-                parity_chunks=params.parity_chunks,
-                cache_read_ms=cache_read_ms,
-            )
+            cached = templates.get(key)
+            if cached is None or cached[0] is not metadata:
+                options = generate_caching_options(
+                    key=key,
+                    chunks_by_region=self._region_manager.chunks_by_region(key),
+                    region_latencies=estimates,
+                    popularity=pop,
+                    data_chunks=params.data_chunks,
+                    parity_chunks=params.parity_chunks,
+                    cache_read_ms=cache_read_ms,
+                )
+                templates[key] = (metadata, tuple(options))
+            else:
+                options = with_popularity(cached[1], pop)
             if options:
                 options_by_key[key] = options
         return options_by_key
 
-    def compute_configuration(self, popularity: Mapping[str, float]) -> SolverResult:
-        """Run the knapsack DP for the given popularity snapshot."""
+    def compute_configuration(self, popularity: Mapping[str, float]
+                              ) -> tuple[dict[str, list[CachingOption]], SolverResult]:
+        """Run the knapsack DP for the given popularity snapshot.
+
+        Returns the generated options alongside the solver's result.
+        """
         options_by_key = self.generate_options(popularity)
         solver = KnapsackSolver(
             capacity_weight=self.capacity_chunks,
             use_relax=self._config.use_relax,
             stop_after_extra_keys=self._config.stop_after_extra_keys,
         )
-        return solver.solve(options_by_key)
+        return options_by_key, solver.solve(options_by_key)
 
     # ------------------------------------------------------------------ #
     # Installation
@@ -172,13 +202,7 @@ class CacheManager:
 
     def reconfigure(self, popularity: Mapping[str, float]) -> ReconfigurationRecord:
         """Full reconfiguration cycle: generate options, solve, install, record."""
-        options_by_key = self.generate_options(popularity)
-        solver = KnapsackSolver(
-            capacity_weight=self.capacity_chunks,
-            use_relax=self._config.use_relax,
-            stop_after_extra_keys=self._config.stop_after_extra_keys,
-        )
-        result = solver.solve(options_by_key)
+        options_by_key, result = self.compute_configuration(popularity)
         self.install(result.best)
         record = ReconfigurationRecord(
             period_index=len(self._history),

@@ -19,9 +19,11 @@ Two implementations are provided:
 
 * :class:`KnapsackSolver` — the optimized solver.  The DP state is scalar: a
   weight-indexed array of ``(value, weight, key-bitmask, option-chain)``
-  records, so the inner loops touch only floats, ints and tuple cells.  Full
-  :class:`CacheConfiguration` objects are materialized exactly once, from the
-  option chains, after the DP finishes.
+  records, so the inner loops touch only floats, ints and tuple cells.  Each
+  record carries an upper bound on what a relax can gain, so the Fig. 5
+  chain scan runs only on records it might improve.  Full
+  :class:`CacheConfiguration` objects are materialized from the option
+  chains after the DP finishes, each on first read.
 * :class:`ReferenceKnapsackSolver` — the original direct transcription of the
   paper's pseudo-code, which derives an immutable :class:`CacheConfiguration`
   for every intermediate state.  It is kept as the ground truth for the
@@ -33,8 +35,9 @@ solver and a greedy baseline for the ablation benchmarks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.options import (
     CachingOption,
@@ -66,8 +69,14 @@ class CacheConfiguration:
                 raise ValueError(f"configuration contains two options for key {option.key!r}")
             by_key[option.key] = option
         object.__setattr__(self, "_by_key", by_key)
+        # The value is the plain left-to-right float sum, the order in which
+        # the solvers accumulate it; sum() compensates float rounding from
+        # Python 3.12 on, which would make the two disagree in the last ulp.
+        value = 0.0
+        for option in self.options:
+            value += option.value
         object.__setattr__(self, "_weight", sum(option.weight for option in self.options))
-        object.__setattr__(self, "_value", sum(option.value for option in self.options))
+        object.__setattr__(self, "_value", value)
 
     # -- inspection ---------------------------------------------------- #
     @property
@@ -149,9 +158,6 @@ class CacheConfiguration:
 
 EMPTY_CONFIGURATION = CacheConfiguration()
 
-#: Shared empty exact-weight index used when a relaxed key has no options.
-_EMPTY_WEIGHT_INDEX: dict[int, CachingOption] = {}
-
 
 @dataclass(frozen=True)
 class SolverResult:
@@ -159,35 +165,67 @@ class SolverResult:
 
     Attributes:
         best: the configuration to install (highest value with weight ≤ capacity).
-        table: the final ``MaxV`` table (weight slot → best configuration seen).
+        table: the final ``MaxV`` table (weight slot → best configuration
+            seen).  :class:`KnapsackSolver` returns a read-only mapping that
+            builds each slot's configuration on first read.
         keys_processed: how many objects the solver examined.
         stopped_early: whether the §VI early-stop optimisation triggered.
     """
 
     best: CacheConfiguration
-    table: dict[int, CacheConfiguration]
+    table: Mapping[int, CacheConfiguration]
     keys_processed: int
     stopped_early: bool
+
+
+#: Gain entry for a weight no chain node can make room for.
+_NO_GAIN = float("-inf")
+
+#: Relative slack of the relax bound, as a fraction of M, the sum of every
+#: usable option's absolute value.  A relax compares
+#: ``base - old + replacement + option`` with ``base``; each term and partial
+#: sum is a sum of distinct options' values, so float rounding moves the
+#: comparison, and the bound's own ``replacement - old``, by a few ulps of M.
+#: A slack of 1e-9 * M covers that many times over, so a record is skipped
+#: only when no relax can improve it.
+_BOUND_SLACK = 1e-9
+
+
+def _upper(first: Sequence[float], second: Sequence[float]) -> tuple[float, ...]:
+    """Element-wise max of two bound vectors."""
+    return tuple([a if a > b else b for a, b in zip(first, second)])
 
 
 class _State:
     """One scalar DP record: the configuration at a ``MaxV`` weight slot.
 
     ``chain`` is a singly linked chain of
-    ``(option, value, weight, key_bit, parent)`` tuples in reverse insertion
-    order, so the relax scan touches only tuple cells — no property calls, no
-    dict lookups.  Materializing a :class:`CacheConfiguration` happens only
+    ``(option, value, weight, key_bit, parent, gains)`` tuples in reverse
+    insertion order, so the relax scan touches only tuple cells — no property
+    calls, no dict lookups.  ``gains[w]`` is what relaxing the node's object
+    by ``w`` chunks gains before the new option's value is added: the value
+    of its exact-weight replacement (0 for a total eviction) minus the
+    node's value.  Materializing a :class:`CacheConfiguration` happens only
     after the DP converged.  ``mask`` is a bitmask over the solver's key
     indices — an O(1) replacement for ``has_key``.
+
+    ``bound`` is the element-wise max of the chain's gains: an upper bound on
+    what any relax of the record can gain.  A record made by an addition
+    leaves it ``None`` and keeps its ``source`` record;
+    :meth:`_DynamicProgram._bound_of` extends the source's bound by the head
+    node's gains on first use.
     """
 
-    __slots__ = ("value", "weight", "mask", "chain")
+    __slots__ = ("value", "weight", "mask", "chain", "bound", "source")
 
-    def __init__(self, value: float, weight: int, mask: int, chain: tuple | None) -> None:
+    def __init__(self, value: float, weight: int, mask: int, chain: tuple | None,
+                 bound: tuple[float, ...] | None, source: "_State | None" = None) -> None:
         self.value = value
         self.weight = weight
         self.mask = mask
         self.chain = chain
+        self.bound = bound
+        self.source = source
 
     def nodes_in_order(self) -> list[tuple]:
         """The chain's nodes in insertion order."""
@@ -204,16 +242,41 @@ class _State:
         return CacheConfiguration(options=tuple(node[0] for node in self.nodes_in_order()))
 
 
+class _MaterializingTable(Mapping[int, CacheConfiguration]):
+    """The final ``MaxV`` table; a slot's configuration is built on first read."""
+
+    def __init__(self, states: dict[int, _State]) -> None:
+        self._states = states
+        self._configs: dict[int, CacheConfiguration] = {}
+
+    def __getitem__(self, slot: int) -> CacheConfiguration:
+        config = self._configs.get(slot)
+        if config is None:
+            config = self._configs[slot] = self._states[slot].materialize()
+        return config
+
+    def __contains__(self, slot: object) -> bool:
+        return slot in self._states
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._states)
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+
 class KnapsackSolver:
     """The paper's dynamic-programming heuristic for cache configuration.
 
     This is the optimized solver: the DP operates on scalar
     ``(value, weight, mask, chain)`` records in a weight-indexed array, with
     per-option weight/value read once, O(1) key-membership checks and
-    parent-pointer reconstruction.  It is exactly equivalent (same best value
-    and weight) to :class:`ReferenceKnapsackSolver`, which transcribes the
-    paper's pseudo-code directly; the equivalence suite asserts this on
-    randomized instances.
+    parent-pointer reconstruction.  Each record also carries a bound on what
+    a relax can gain, so the Fig. 5 chain scan runs only where it might
+    improve the record.  It is exactly equivalent (same table, same option
+    lists) to :class:`ReferenceKnapsackSolver`, which transcribes the paper's
+    pseudo-code directly; the equivalence suite asserts this on randomized
+    and captured instances.
 
     Args:
         capacity_weight: cache capacity expressed in chunks.
@@ -253,36 +316,36 @@ class KnapsackSolver:
                                 keys_processed=0, stopped_early=False)
 
         capacity = self._capacity
-        usable = {
-            key: [option for option in options if option.weight <= capacity]
-            for key, options in options_by_key.items()
-        }
-        usable = {key: options for key, options in usable.items() if options}
-        ordered_keys = sorted(usable, key=lambda key: (-best_option_value(usable[key]), key))
+        usable: dict[str, list[CachingOption]] = {}
+        best_values: dict[str, float] = {}
+        magnitude = 0.0
+        max_weight = 0
+        for key, options in options_by_key.items():
+            fitting = [option for option in options if option.weight <= capacity]
+            if not fitting:
+                continue
+            values = [option.value for option in fitting]
+            usable[key] = fitting
+            best_values[key] = max(values)
+            magnitude += sum(map(abs, values))
+            max_weight = max(max_weight, max(option.weight for option in fitting))
+        ordered_keys = sorted(usable, key=lambda key: (-best_values[key], key))
 
-        # Per-key exact-weight lookup (SearchOption of Fig. 5) and key bits.
-        weight_index = {key: options_by_weight(usable[key]) for key in ordered_keys}
-        key_bit = {key: 1 << index for index, key in enumerate(ordered_keys)}
-
-        # MaxV: weight slot -> scalar state.  Slot 0 is the empty configuration.
-        states: list[_State | None] = [None] * (capacity + 1)
-        states[0] = _State(0.0, 0, 0, None)
-        max_slot = 0
-
+        run = _DynamicProgram(usable, capacity, max_weight, magnitude)
         keys_since_full: int | None = None
         keys_processed = 0
         stopped_early = False
 
-        for key in ordered_keys:
-            bit = key_bit[key]
+        for index, key in enumerate(ordered_keys):
+            bit = 1 << index
             for option in sorted(usable[key], key=lambda opt: opt.weight):
                 if self._use_relax:
-                    self._relax_pass(states, option, bit, weight_index)
-                max_slot = self._addition_pass(states, option, bit, max_slot)
+                    run.relax_pass(option, bit)
+                run.addition_pass(option, bit)
             keys_processed += 1
 
             if self._stop_after_extra_keys is not None:
-                if keys_since_full is None and max_slot >= capacity:
+                if keys_since_full is None and run.max_slot >= capacity:
                     keys_since_full = 0
                 elif keys_since_full is not None:
                     keys_since_full += 1
@@ -290,9 +353,7 @@ class KnapsackSolver:
                         stopped_early = True
                         break
 
-        table = {slot: state.materialize()
-                 for slot, state in enumerate(states) if state is not None}
-        best = max(table.values(), key=lambda config: (config.value, -config.weight))
+        table, best = run.table_and_best()
         return SolverResult(best=best, table=table, keys_processed=keys_processed,
                             stopped_early=stopped_early)
 
@@ -300,56 +361,142 @@ class KnapsackSolver:
         """Convenience wrapper returning only the best configuration."""
         return self.solve(options_by_key).best
 
-    # ------------------------------------------------------------------ #
-    # DP passes
-    # ------------------------------------------------------------------ #
-    def _addition_pass(self, states: list[_State | None], option: CachingOption,
-                       bit: int, max_slot: int) -> int:
+
+class _DynamicProgram:
+    """One :class:`KnapsackSolver` run: the ``MaxV`` array and its passes.
+
+    ``_states[w]`` is the record at weight slot ``w`` and ``_values[w]`` its
+    value (``None`` when empty), kept in parallel so the addition pass can
+    prefilter targets without attribute loads.  Per-key work (exact-weight
+    indexes, relax gains) happens only for keys the DP reaches.
+    """
+
+    def __init__(self, usable: Mapping[str, Sequence[CachingOption]], capacity: int,
+                 max_weight: int, magnitude: float) -> None:
+        self._usable = usable
+        self._capacity = capacity
+        # With non-finite option values the bound is meaningless: no limit
+        # ever filters a state.
+        self._slack = magnitude * _BOUND_SLACK if math.isfinite(magnitude) else math.inf
+        self._empty_bound = (_NO_GAIN,) * (max_weight + 1)
+        # Running max of every bound ever built: a relax pass whose option
+        # cannot gain even against it is skipped outright.
+        self._reach = list(self._empty_bound)
+        self._indexes: dict[str, dict[int, CachingOption]] = {}
+        # Keyed by id(): every option lives in ``usable`` for the whole run.
+        self._gains: dict[int, tuple[float, ...]] = {}
+        self._states: list[_State | None] = [None] * (capacity + 1)
+        self._values: list[float | None] = [None] * (capacity + 1)
+        self._states[0] = _State(0.0, 0, 0, None, self._empty_bound)
+        self._values[0] = 0.0
+        self.max_slot = 0
+
+    # -- per-key data --------------------------------------------------- #
+    def _index_for(self, key: str) -> dict[int, CachingOption]:
+        """Exact-weight lookup of ``key``'s options (SearchOption of Fig. 5)."""
+        index = self._indexes.get(key)
+        if index is None:
+            index = self._indexes[key] = options_by_weight(self._usable.get(key, ()))
+        return index
+
+    def _gains_of(self, option: CachingOption) -> tuple[float, ...]:
+        """Per weight ``w``: what relaxing ``option``'s node by ``w`` chunks gains."""
+        gains = self._gains.get(id(option))
+        if gains is None:
+            index = self._index_for(option.key)
+            weight = option.weight
+            value = option.value
+            vector = list(self._empty_bound)
+            for freed in range(1, weight + 1):
+                replacement = index.get(weight - freed)
+                vector[freed] = (replacement.value if replacement is not None else 0.0) - value
+            gains = self._gains[id(option)] = tuple(vector)
+        return gains
+
+    @staticmethod
+    def _bound_of(state: _State) -> tuple[float, ...]:
+        """``state``'s relax bound, extending pending sources oldest first."""
+        pending = []
+        while state.bound is None:
+            pending.append(state)
+            state = state.source
+        bound = state.bound
+        for state in reversed(pending):
+            bound = state.bound = _upper(bound, state.chain[5])
+            state.source = None
+        return bound
+
+    # -- DP passes ------------------------------------------------------ #
+    def addition_pass(self, option: CachingOption, bit: int) -> None:
         """Fig. 4 lines 14–21: extend existing configurations with ``option``.
 
-        Returns the (possibly grown) maximum occupied weight slot, tracked
-        incrementally so the §VI early-stop check never rescans the table.
+        Sources are read before the pass: additions inside it must not feed
+        further additions of the same option.  A target slot's value only
+        rises within the pass, so a source that does not beat the target's
+        pre-pass value cannot beat its live value either; the survivors are
+        then checked live in ascending slot order.  ``max_slot`` tracks the
+        maximum occupied slot so the §VI early-stop check never rescans.
         """
         capacity = self._capacity
         option_weight = option.weight
         option_value = option.value
-        # Snapshot of the occupied slots, ascending — additions inside this
-        # pass must not feed further additions of the same option.
-        snapshot = [state for state in states if state is not None]
-        for state in snapshot:
-            if state.mask & bit:
-                continue
+        states = self._states
+        values = self._values
+        sources = [
+            state for state, value in zip(states, values)
+            if value is not None and not state.mask & bit
+            and (target := state.weight + option_weight) <= capacity
+            and ((current := values[target]) is None or current < value + option_value)
+        ]
+        if not sources:
+            return
+        gains = self._gains_of(option)
+        for state in sources:
             new_weight = state.weight + option_weight
-            if new_weight > capacity:
-                continue
             new_value = state.value + option_value
-            existing = states[new_weight]
-            if existing is None or existing.value < new_value:
+            current = values[new_weight]
+            if current is None or current < new_value:
                 states[new_weight] = _State(
                     new_value, new_weight, state.mask | bit,
-                    (option, option_value, option_weight, bit, state.chain),
+                    (option, option_value, option_weight, bit, state.chain, gains),
+                    None, state,
                 )
-                if new_weight > max_slot:
-                    max_slot = new_weight
-        return max_slot
+                values[new_weight] = new_value
+                if new_weight > self.max_slot:
+                    self.max_slot = new_weight
+        self._reach = _upper(self._reach, gains)
 
-    def _relax_pass(self, states: list[_State | None], option: CachingOption, bit: int,
-                    weight_index: Mapping[str, Mapping[int, CachingOption]]) -> None:
-        """Fig. 4 lines 10–12 / Fig. 5: improve configurations at constant weight slot."""
+    def relax_pass(self, option: CachingOption, bit: int) -> None:
+        """Fig. 4 lines 10–12 / Fig. 5: improve configurations at constant weight slot.
+
+        Only records whose bound admits a gain larger than minus the
+        option's value (less the rounding slack) run the exact chain scan;
+        the scan itself, its tie-breaking and its float sums are unchanged.
+        """
         option_weight = option.weight
         option_value = option.value
-        snapshot = [(slot, state) for slot, state in enumerate(states) if state is not None]
-        for slot, state in snapshot:
-            if state.mask & bit or state.chain is None:
+        limit = -option_value - self._slack
+        if self._reach[option_weight] < limit:
+            return
+        states = self._states
+        bound_of = self._bound_of
+        slots = [
+            slot for slot, state in enumerate(states)
+            if state is not None and not state.mask & bit
+            and not (state.bound or bound_of(state))[option_weight] < limit
+        ]
+        for slot in slots:
+            state = states[slot]
+            if state.chain is None:
                 continue
-            improved = self._relax(state, option, option_value, option_weight,
-                                   bit, weight_index)
+            improved = self._relax(state, option, option_value, option_weight, bit, limit)
             if improved is not None and improved.value > state.value:
                 states[slot] = improved
+                self._values[slot] = improved.value
+                self._reach = _upper(self._reach, improved.bound)
 
     def _relax(self, state: _State, option: CachingOption, option_value: float,
-               option_weight: int, bit: int,
-               weight_index: Mapping[str, Mapping[int, CachingOption]]) -> _State | None:
+               option_weight: int, bit: int, limit: float) -> _State | None:
         """Fig. 5: make room for ``option`` by shrinking one already-chosen object.
 
         The replacement option must have *exactly* the weight freed by the
@@ -359,6 +506,8 @@ class KnapsackSolver:
         may be evicted entirely ("the replacement can be total"), which keeps
         the weight bounded by ``w``.
 
+        Nodes whose gain at the option's weight is below ``limit`` cannot
+        make a candidate beat the base value, so they are passed over.
         Returns the best improved state, or ``None`` if no replacement
         increases the value.
         """
@@ -374,14 +523,14 @@ class KnapsackSolver:
         # incumbent.
         node = state.chain
         while node is not None:
-            freed_weight = node[2] - option_weight
-            if freed_weight >= 0:
-                # A negative freed weight means the new option is larger than
-                # the old one; swapping would exceed the slot's weight.
+            # A negative freed weight means the new option is larger than the
+            # old one; swapping would exceed the slot's weight.
+            if not node[5][option_weight] < limit and node[2] >= option_weight:
+                freed_weight = node[2] - option_weight
                 replacement = None
                 replacement_value = 0.0
                 if freed_weight >= 1:
-                    replacement = weight_index.get(node[0].key, _EMPTY_WEIGHT_INDEX).get(freed_weight)
+                    replacement = self._index_for(node[0].key).get(freed_weight)
                     if replacement is not None:
                         replacement_value = replacement.value
                 candidate_value = base_value - node[1] + replacement_value + option_value
@@ -401,23 +550,41 @@ class KnapsackSolver:
         weight = 0
         mask = 0
         chain: tuple | None = None
+        bound = self._empty_bound
         for existing in state.nodes_in_order():
             if existing is best_node:
                 if best_replacement is None:
                     continue
                 entry = (best_replacement, best_replacement.value,
-                         best_replacement.weight, existing[3], chain)
+                         best_replacement.weight, existing[3], chain,
+                         self._gains_of(best_replacement))
             else:
-                entry = (existing[0], existing[1], existing[2], existing[3], chain)
+                entry = (existing[0], existing[1], existing[2], existing[3], chain, existing[5])
             value += entry[1]
             weight += entry[2]
             mask |= entry[3]
             chain = entry
+            bound = _upper(bound, entry[5])
         value += option_value
         weight += option_weight
         mask |= bit
-        chain = (option, option_value, option_weight, bit, chain)
-        return _State(value, weight, mask, chain)
+        chain = (option, option_value, option_weight, bit, chain, self._gains_of(option))
+        bound = _upper(bound, chain[5])
+        return _State(value, weight, mask, chain, bound)
+
+    # -- result --------------------------------------------------------- #
+    def table_and_best(self) -> tuple[_MaterializingTable, CacheConfiguration]:
+        """The lazily materialized table and its best configuration.
+
+        The best is the first slot maximizing ``(value, -weight)``.  A
+        record's scalar value equals its configuration's value bit for bit
+        (both are the left-to-right sum in insertion order), so only the
+        best slot is materialized here.
+        """
+        occupied = {slot: state for slot, state in enumerate(self._states) if state is not None}
+        table = _MaterializingTable(occupied)
+        best_slot = max(occupied, key=lambda slot: (occupied[slot].value, -occupied[slot].weight))
+        return table, table[best_slot]
 
 
 class ReferenceKnapsackSolver:

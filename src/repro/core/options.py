@@ -83,6 +83,41 @@ class CachingOption:
         return frozenset(self.chunk_indices)
 
 
+# Slot setters of CachingOption: with_popularity fills copies through them,
+# skipping the frozen dataclass __init__ (a setattr call per field plus the
+# __post_init__ checks the originals already passed).
+_SET_KEY = vars(CachingOption)["key"].__set__
+_SET_CHUNK_INDICES = vars(CachingOption)["chunk_indices"].__set__
+_SET_WEIGHT = vars(CachingOption)["weight"].__set__
+_SET_IMPROVEMENT = vars(CachingOption)["latency_improvement_ms"].__set__
+_SET_MARGINAL = vars(CachingOption)["marginal_improvement_ms"].__set__
+_SET_POPULARITY = vars(CachingOption)["popularity"].__set__
+_SET_RESIDUAL = vars(CachingOption)["residual_latency_ms"].__set__
+
+
+def with_popularity(options: Sequence[CachingOption], popularity: float) -> list[CachingOption]:
+    """Copies of ``options`` that carry ``popularity`` instead.
+
+    Nothing else an option holds depends on the popularity, so the copies
+    equal what :func:`generate_caching_options` returns for the same
+    placement and estimates at ``popularity``.
+    """
+    if popularity < 0:
+        raise ValueError("popularity must be non-negative")
+    copies = []
+    for option in options:
+        copy = object.__new__(CachingOption)
+        _SET_KEY(copy, option.key)
+        _SET_CHUNK_INDICES(copy, option.chunk_indices)
+        _SET_WEIGHT(copy, option.weight)
+        _SET_IMPROVEMENT(copy, option.latency_improvement_ms)
+        _SET_MARGINAL(copy, option.marginal_improvement_ms)
+        _SET_POPULARITY(copy, popularity)
+        _SET_RESIDUAL(copy, option.residual_latency_ms)
+        copies.append(copy)
+    return copies
+
+
 def needed_chunks(
     chunks_by_region: Mapping[str, Sequence[int]],
     region_latencies: Mapping[str, float],

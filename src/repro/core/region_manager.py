@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.backend.object_store import ErasureCodedStore
-from repro.erasure.chunk import ErasureCodingParams
+from repro.erasure.chunk import ErasureCodingParams, ObjectMetadata
 from repro.geo.latency import DEFAULT_CHUNK_SIZE
 
 #: Penalty (ms) added to a down region's latency estimate.  Large enough to
@@ -78,6 +78,14 @@ class RegionManager:
     def chunks_by_region(self, key: str) -> dict[str, list[int]]:
         """Which chunks of ``key`` each region stores (round-robin placement)."""
         return self._store.chunks_by_region(key)
+
+    def object_metadata(self, key: str) -> ObjectMetadata:
+        """The catalog entry of ``key``; a PUT installs a new instance.
+
+        Raises:
+            KeyError: if the key is unknown.
+        """
+        return self._store.metadata(key)
 
     def known_keys(self) -> list[str]:
         """All object keys of the backing store's catalog."""

@@ -9,6 +9,7 @@ from repro.core.options import (
     needed_chunks,
     option_with_weight,
     option_with_weight_at_most,
+    with_popularity,
 )
 from repro.geo.topology import TABLE1_FRANKFURT_LATENCIES
 
@@ -106,6 +107,19 @@ class TestGenerationEdgeCases:
         with pytest.raises(ValueError):
             generate_caching_options("k", round_robin_chunks, frankfurt_latencies,
                                      popularity=-1.0, data_chunks=9, parity_chunks=3)
+
+    def test_with_popularity_equals_regeneration(self, round_robin_chunks, frankfurt_latencies):
+        def generate(popularity):
+            return generate_caching_options("k", round_robin_chunks, frankfurt_latencies,
+                                            popularity=popularity, data_chunks=9,
+                                            parity_chunks=3, cache_read_ms=20.0)
+
+        repriced = with_popularity(generate(2.0), 0.37)
+        assert repriced == generate(0.37)
+        assert [option.value for option in repriced] == [option.value for option in generate(0.37)]
+        assert hash(repriced[0]) == hash(generate(0.37)[0])
+        with pytest.raises(ValueError):
+            with_popularity(repriced, -1.0)
 
     def test_include_all_weights(self, round_robin_chunks, frankfurt_latencies):
         options = generate_caching_options(
